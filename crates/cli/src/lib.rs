@@ -289,7 +289,7 @@ pub static OPTIONS: &[OptSpec] = &[
     OptSpec {
         flag: "--socket",
         value: Some("PATH"),
-        help: "listen on a Unix-domain socket instead of stdin/stdout (serve/route; repeatable)",
+        help: "listen on a Unix-domain socket instead of stdin/stdout (serve/route; repeatable; route needs one)",
         apply: |inv, v| {
             inv.sockets.push(v.unwrap().to_string());
             Ok(())
@@ -509,7 +509,7 @@ pub static OPTIONS: &[OptSpec] = &[
 /// [`static@OPTIONS`].
 pub fn usage() -> String {
     let mut s = String::from(
-        "usage: tpnc <analyze|schedule|emit|dot|behavior|storage|acode|trace|explain> <file|-> [<file> ...]\n       tpnc serve [--socket PATH ...] [--tcp ADDR ...] [--store DIR] [--self-test]\n       tpnc route --socket PATH [--shards N] [--store DIR]\n       tpnc fuzz [--seed N] [--cases N] [--shape S] [--chaos] [--mutate M] [--exec] [--replay FILE]",
+        "usage: tpnc <analyze|schedule|emit|dot|behavior|storage|acode|trace|explain> <file|-> [<file> ...] [options]\n       tpnc <serve|route|fuzz> [options]\n       tpnc help | --help | -h\noptions:",
     );
     for opt in OPTIONS {
         match opt.value {
@@ -525,6 +525,15 @@ pub fn usage() -> String {
         let _ = write!(s, "\n  {:<22} {}", opt.flag, opt.help);
     }
     s
+}
+
+/// Whether a command line (without the leading program name) asks for
+/// the usage text: `tpnc help`, `tpnc --help` or `tpnc -h`.
+pub fn asks_for_help(args: &[String]) -> bool {
+    matches!(
+        args.first().map(String::as_str),
+        Some("help" | "--help" | "-h")
+    )
 }
 
 /// Parses a command line (without the leading program name).
@@ -1300,13 +1309,33 @@ mod tests {
     #[test]
     fn usage_lists_every_option() {
         let text = usage();
+        // The synopsis is everything before the per-flag help lines.
+        let synopsis = &text[..text.find("\n  --").expect("help lines follow")];
         for opt in OPTIONS {
-            assert!(text.contains(opt.flag), "usage misses {}", opt.flag);
+            // A flag ends at a space (before its value) or a bracket, so
+            // `--s` would not count inside `--scp`.
+            assert_eq!(
+                synopsis.matches(&format!("{} ", opt.flag)).count()
+                    + synopsis.matches(&format!("{}]", opt.flag)).count(),
+                1,
+                "synopsis must list {} exactly once",
+                opt.flag
+            );
             assert!(
-                text.contains(opt.help),
+                text.contains(&format!("\n  {:<22} {}", opt.flag, opt.help)),
                 "usage misses help for {}",
                 opt.flag
             );
+        }
+    }
+
+    #[test]
+    fn help_is_asked_for_by_command_or_flag() {
+        for line in ["help", "--help", "-h", "-h analyze"] {
+            assert!(asks_for_help(&args(line)), "{line}");
+        }
+        for line in ["", "analyze x --help", "helpme", "serve"] {
+            assert!(!asks_for_help(&args(line)), "{line}");
         }
     }
 

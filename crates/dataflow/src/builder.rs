@@ -139,28 +139,37 @@ impl SdspBuilder {
         // live as written (all of the paper's examples) keep their exact
         // structure. Each insertion removes one producer from all non-self
         // feedback positions, so the loop terminates.
+        //
+        // The first candidate is validated before any search, so
+        // same-iteration cycles and malformed operands are reported as
+        // such. The search then runs on the operands directly (see
+        // `token_free_cycle`), and the graph is built and validated once
+        // more only if a buffer went in.
+        let candidate = Self::build_candidate(std::mem::take(&mut self.nodes));
+        candidate.validate()?;
+        let Some(mut cycle) = token_free_cycle(&candidate.nodes) else {
+            return Ok(candidate);
+        };
+        self.nodes = candidate.nodes;
         loop {
-            let sdsp = self.build_candidate();
-            sdsp.validate()?;
-            let pn = crate::to_petri::to_petri(&sdsp);
-            match tpn_petri::marked::check_live(&pn.net, &pn.marking) {
-                Ok(()) => return Ok(sdsp),
-                Err(tpn_petri::PetriError::NotLive { cycle }) => {
-                    let producer = self
-                        .find_feedback_producer_on(&sdsp, &cycle)
-                        .expect("a token-free cycle contains a feedback acknowledgement");
-                    self.buffer_feedback_of(producer);
-                }
-                Err(other) => unreachable!("SDSP-PNs are marked graphs: {other}"),
+            let producer = feedback_producer_on(&self.nodes, &cycle)
+                .expect("a token-free cycle contains a feedback acknowledgement");
+            self.buffer_feedback_of(producer);
+            match token_free_cycle(&self.nodes) {
+                Some(next) => cycle = next,
+                None => break,
             }
         }
+        let sdsp = Self::build_candidate(self.nodes);
+        sdsp.validate()?;
+        Ok(sdsp)
     }
 
     /// Derives data arcs and the default one-acknowledgement-per-arc
-    /// storage allocation from the current nodes.
-    fn build_candidate(&self) -> Sdsp {
+    /// storage allocation for `nodes`.
+    fn build_candidate(nodes: Vec<Node>) -> Sdsp {
         let mut arcs = Vec::new();
-        for (consumer_idx, node) in self.nodes.iter().enumerate() {
+        for (consumer_idx, node) in nodes.iter().enumerate() {
             for operand in &node.operands {
                 if let Operand::Node {
                     node: producer,
@@ -185,38 +194,7 @@ impl SdspBuilder {
             .enumerate()
             .map(|(i, arc)| AckArc::single(crate::graph::ArcId::from_index(i), arc))
             .collect();
-        Sdsp {
-            nodes: self.nodes.clone(),
-            arcs,
-            acks,
-        }
-    }
-
-    /// Finds, on a witness token-free cycle of the candidate's SDSP-PN, a
-    /// feedback producer whose acknowledgement participates — the arc to
-    /// buffer. Transition indices equal node indices by construction of
-    /// the translation.
-    fn find_feedback_producer_on(
-        &self,
-        sdsp: &Sdsp,
-        cycle: &[tpn_petri::TransitionId],
-    ) -> Option<NodeId> {
-        for (i, t) in cycle.iter().enumerate() {
-            let consumer = NodeId::from_index(t.index());
-            let producer = NodeId::from_index(cycle[(i + 1) % cycle.len()].index());
-            // Is there a feedback arc producer -> consumer (whose ack is
-            // the cycle edge consumer -> producer)?
-            let has_fb = sdsp.arcs().any(|(_, a)| {
-                a.kind == ArcKind::Feedback
-                    && a.from == producer
-                    && a.to == consumer
-                    && a.from != a.to
-            });
-            if has_fb {
-                return Some(producer);
-            }
-        }
-        None
+        Sdsp { nodes, arcs, acks }
     }
 
     /// Inserts (or reuses) the buffer actor for `producer` and reroutes
@@ -289,6 +267,54 @@ impl SdspBuilder {
             }
         }
     }
+}
+
+/// A token-free cycle of the SDSP-PN of `nodes` (operands expanded to
+/// distance ≤ 1, default acknowledgements), as node indices, or `None` if
+/// that net is live.
+///
+/// The token-free places of the default translation are the forward data
+/// arcs (producer → consumer) and the acknowledgements of non-self
+/// feedback arcs (consumer → producer); every other place starts with a
+/// token. Both are read off the operands in the SDSP-PN's place order —
+/// all data arcs in arc order, then all acknowledgements in arc order —
+/// which is the order [`check_live`](tpn_petri::marked::check_live)
+/// visits them in, so the search reports the cycle it would without
+/// building the net.
+fn token_free_cycle(nodes: &[Node]) -> Option<Vec<usize>> {
+    let operands = || {
+        nodes.iter().enumerate().flat_map(|(consumer, node)| {
+            node.operands
+                .iter()
+                .filter_map(move |operand| match *operand {
+                    Operand::Node { node, distance } => Some((node.index(), consumer, distance)),
+                    _ => None,
+                })
+        })
+    };
+    let forward = operands()
+        .filter(|&(_, _, distance)| distance == 0)
+        .map(|(producer, consumer, _)| (producer, consumer));
+    let feedback_acks = operands()
+        .filter(|&(producer, consumer, distance)| distance > 0 && producer != consumer)
+        .map(|(producer, consumer, _)| (consumer, producer));
+    tpn_petri::marked::find_cycle(nodes.len(), forward.chain(feedback_acks))
+}
+
+/// Finds, on a token-free `cycle`, a feedback producer whose
+/// acknowledgement participates — the arc to buffer: the producer of the
+/// first cycle edge `consumer → producer` along which `consumer` reads
+/// `producer` loop-carried.
+fn feedback_producer_on(nodes: &[Node], cycle: &[usize]) -> Option<NodeId> {
+    (0..cycle.len()).find_map(|i| {
+        let (consumer, producer) = (cycle[i], cycle[(i + 1) % cycle.len()]);
+        let reads_carried = consumer != producer
+            && nodes[consumer].operands.iter().any(|operand| {
+                matches!(*operand, Operand::Node { node, distance }
+                    if node.index() == producer && distance > 0)
+            });
+        reads_carried.then(|| NodeId::from_index(producer))
+    })
 }
 
 #[cfg(test)]
@@ -413,5 +439,268 @@ mod tests {
                 ..
             })
         ));
+    }
+}
+
+/// The reference for [`SdspBuilder::finish`]'s liveness repair, one buffer
+/// per pass the direct way: build the candidate graph, validate it,
+/// translate it to its SDSP-PN, run
+/// [`check_live`](tpn_petri::marked::check_live) on the net, and buffer
+/// the feedback producer found on the reported cycle by scanning every
+/// arc. `finish` must return exactly the graph this loop returns.
+#[cfg(test)]
+mod reference {
+    use std::collections::HashMap;
+
+    use super::*;
+    use crate::graph::ArcKind;
+    use tpn_petri::PetriError;
+
+    fn reference_finish(mut b: SdspBuilder) -> Result<Sdsp, DataflowError> {
+        b.expand_long_feedback();
+        loop {
+            let sdsp = SdspBuilder::build_candidate(b.nodes.clone());
+            sdsp.validate()?;
+            let pn = crate::to_petri::to_petri(&sdsp);
+            match tpn_petri::marked::check_live(&pn.net, &pn.marking) {
+                Ok(()) => return Ok(sdsp),
+                Err(PetriError::NotLive { cycle }) => {
+                    let producer = reference_producer_on(&sdsp, &cycle)
+                        .expect("a token-free cycle contains a feedback acknowledgement");
+                    b.buffer_feedback_of(producer);
+                }
+                Err(other) => unreachable!("SDSP-PNs are marked graphs: {other}"),
+            }
+        }
+    }
+
+    /// Transition indices equal node indices by construction of the
+    /// translation.
+    fn reference_producer_on(sdsp: &Sdsp, cycle: &[tpn_petri::TransitionId]) -> Option<NodeId> {
+        for (i, t) in cycle.iter().enumerate() {
+            let consumer = NodeId::from_index(t.index());
+            let producer = NodeId::from_index(cycle[(i + 1) % cycle.len()].index());
+            let has_fb = sdsp.arcs().any(|(_, a)| {
+                a.kind == ArcKind::Feedback
+                    && a.from == producer
+                    && a.to == consumer
+                    && a.from != a.to
+            });
+            if has_fb {
+                return Some(producer);
+            }
+        }
+        None
+    }
+
+    /// Runs both repairs on `b` and demands identical graphs: the same
+    /// nodes (names, ops, operands, order), arcs and acknowledgements.
+    /// Returns the number of liveness buffers inserted.
+    fn assert_same_repair(b: SdspBuilder, label: &str) -> usize {
+        let expected = reference_finish(b.clone()).map(|s| format!("{s:?}"));
+        let fast = b.finish();
+        let buffers = fast.as_ref().map_or(0, |s| {
+            s.nodes().filter(|(_, n)| n.name.ends_with("~fb")).count()
+        });
+        assert_eq!(fast.map(|s| format!("{s:?}")), expected, "{label}");
+        buffers
+    }
+
+    /// The builder input behind a finished graph: drops the trailing
+    /// `x~fb` liveness buffers and points their readers back at `x`.
+    /// Delay chains of long distances stay expanded; `finish` leaves
+    /// distance-1 operands as they are, so finishing the result repeats
+    /// the original repair.
+    fn unrepaired(sdsp: &Sdsp) -> SdspBuilder {
+        let mut nodes = sdsp.nodes.clone();
+        let mut buffered: HashMap<usize, NodeId> = HashMap::new();
+        while let Some(last) = nodes.last() {
+            match last.operands.as_slice() {
+                [Operand::Node { node, distance: 0 }]
+                    if last.op == OpKind::Id
+                        && last.name == format!("{}~fb", nodes[node.index()].name) =>
+                {
+                    buffered.insert(nodes.len() - 1, *node);
+                    nodes.pop();
+                }
+                _ => break,
+            }
+        }
+        for node in &mut nodes {
+            for operand in &mut node.operands {
+                if let Operand::Node { node, .. } = operand {
+                    if let Some(&producer) = buffered.get(&node.index()) {
+                        *node = producer;
+                    }
+                }
+            }
+        }
+        SdspBuilder { nodes }
+    }
+
+    /// Checks a graph built by another crate: carries it over as A-code,
+    /// strips its repair, and asserts that both repairs rebuild it.
+    fn check_finished(acode: &str, label: &str) -> usize {
+        let finished = crate::acode::read(acode).expect("A-code round-trips");
+        let input = unrepaired(&finished);
+        assert_eq!(
+            format!("{:?}", input.clone().finish().unwrap()),
+            format!("{finished:?}"),
+            "{label}: stripping the repair must give back the builder input"
+        );
+        assert_same_repair(input, label)
+    }
+
+    #[test]
+    fn livermore_kernels_repair_as_the_reference_does() {
+        for kernel in tpn_livermore::kernels() {
+            check_finished(&tpn::dataflow::acode::write(&kernel.sdsp()), kernel.name);
+        }
+    }
+
+    #[test]
+    fn synthetic_loops_repair_as_the_reference_does() {
+        use tpn_livermore::synth::{chain, generate, recurrence_ring, wide, SynthConfig};
+        let write = tpn::dataflow::acode::write;
+        for n in [1, 2, 7, 64] {
+            check_finished(&write(&chain(n)), &format!("chain/{n}"));
+            check_finished(&write(&wide(n)), &format!("wide/{n}"));
+            check_finished(&write(&recurrence_ring(n)), &format!("ring/{n}"));
+        }
+        // Recurrences from late nodes back to early ones, and — once there
+        // are more recurrences than half the body — from early nodes
+        // forward, which closes token-free cycles.
+        let mut buffers = 0;
+        for seed in 0..48 {
+            for distance in [1, 2, 3, 5] {
+                let nodes = 4 + seed as usize % 13;
+                let config = SynthConfig {
+                    nodes,
+                    forward_density: 0.8,
+                    recurrences: 1 + (seed as usize * 7) % nodes,
+                    distance,
+                    seed,
+                };
+                let label = format!("generate seed {seed} distance {distance}");
+                buffers += check_finished(&write(&generate(&config)), &label);
+            }
+        }
+        assert!(buffers > 0, "no synthetic loop needed a liveness buffer");
+    }
+
+    #[test]
+    fn fuzz_shapes_repair_as_the_reference_does() {
+        use tpn_conform::gen::{generate, Shape};
+        // The generator keeps its bodies live as written (chords point
+        // backwards), so this pins that no repair fires on them.
+        for shape in Shape::ALL {
+            for case in 0..64 {
+                let label = format!("{} case {case}", shape.as_str());
+                let sdsp = generate(7, case, shape);
+                assert_eq!(
+                    check_finished(&tpn::dataflow::acode::write(&sdsp), &label),
+                    0
+                );
+            }
+        }
+    }
+
+    /// A seeded loop in the loop language: each statement reads earlier
+    /// statements of the same iteration and nearby statements of up to
+    /// three iterations back, like the service's large generated loops.
+    fn coupled_loop_source(seed: u64, statements: usize) -> String {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut out = String::from("do i from 4 to n {");
+        for j in 0..statements {
+            let mut expr = format!("X{}[i]", j % 3);
+            for _ in 0..rng.random_range(1..4usize) {
+                let operand = if j > 0 && rng.random_bool(0.5) {
+                    format!("T{}[i]", j - 1 - rng.random_range(0..j.min(4)))
+                } else {
+                    let m = rng.random_range(j.saturating_sub(4)..(j + 4).min(statements));
+                    format!("T{m}[i-{}]", rng.random_range(1..4u32))
+                };
+                expr = format!("{expr} + {operand}");
+            }
+            out.push_str(&format!(" T{j}[i] := {expr};"));
+        }
+        out.push_str(" }");
+        out
+    }
+
+    #[test]
+    fn generated_coupled_loops_repair_as_the_reference_does() {
+        let mut buffers = 0;
+        for seed in 0..40 {
+            let source = coupled_loop_source(seed, 2 + seed as usize % 30);
+            let sdsp = tpn::lang::compile(&source).expect("generated loops compile");
+            buffers += check_finished(&tpn::dataflow::acode::write(&sdsp), &source);
+        }
+        assert!(buffers > 0, "no generated loop needed a liveness buffer");
+    }
+
+    #[test]
+    fn cross_coupled_recurrences_repair_as_the_reference_does() {
+        // X := old Y + A; Y := old X + B.
+        let mut b = SdspBuilder::new();
+        let x = b.node("X", OpKind::Add, [Operand::lit(0.0), Operand::env("A", 0)]);
+        let y = b.node(
+            "Y",
+            OpKind::Add,
+            [Operand::feedback(x, 1), Operand::env("B", 0)],
+        );
+        b.set_operand(x, 0, Operand::feedback(y, 1));
+        assert!(assert_same_repair(b, "two-way") > 0);
+
+        // A three-way ring of carried reads, each node also feeding the
+        // next one in the same iteration.
+        let mut b = SdspBuilder::new();
+        let a = b.node("A", OpKind::Add, [Operand::lit(0.0), Operand::env("S", 0)]);
+        let c = b.node(
+            "B",
+            OpKind::Add,
+            [Operand::feedback(a, 1), Operand::node(a)],
+        );
+        let d = b.node(
+            "C",
+            OpKind::Add,
+            [Operand::feedback(c, 1), Operand::node(c)],
+        );
+        b.set_operand(a, 0, Operand::feedback(d, 1));
+        assert!(assert_same_repair(b, "three-way") > 0);
+
+        // Two coupled pairs sharing a producer, at distances 1 to 3, with
+        // a same-iteration consumer of every carried value.
+        for distance in 1..=3 {
+            let mut b = SdspBuilder::new();
+            let p = b.node("P", OpKind::Add, [Operand::lit(0.0), Operand::env("U", 0)]);
+            let q = b.node(
+                "Q",
+                OpKind::Mul,
+                [Operand::feedback(p, distance), Operand::node(p)],
+            );
+            let r = b.node(
+                "R",
+                OpKind::Sub,
+                [Operand::feedback(q, 1), Operand::feedback(p, 1)],
+            );
+            let s = b.node(
+                "S",
+                OpKind::Max,
+                [Operand::node(r), Operand::feedback(r, distance)],
+            );
+            b.node("T", OpKind::Min, [Operand::node(q), Operand::node(s)]);
+            b.set_operand(p, 0, Operand::feedback(s, 1));
+            assert!(assert_same_repair(b, &format!("coupled pairs d={distance}")) > 0);
+        }
+
+        // Errors come out of both the same way.
+        let mut b = SdspBuilder::new();
+        let u = b.node("U", OpKind::Neg, [Operand::lit(0.0)]);
+        let v = b.node("V", OpKind::Neg, [Operand::node(u)]);
+        b.set_operand(u, 0, Operand::node(v));
+        assert_eq!(assert_same_repair(b, "forward cycle"), 0);
     }
 }

@@ -53,27 +53,47 @@ use crate::net::PetriNet;
 pub fn check_live(net: &PetriNet, marking: &Marking) -> Result<(), PetriError> {
     net.validate_marked_graph()?;
     // A token-free cycle exists iff the transition graph restricted to
-    // empty places has a cycle; find one by DFS. The adjacency is CSR
-    // (one flat array and offsets) — this check runs on every compile,
-    // so per-node allocations would dominate it.
-    let n = net.num_transitions();
+    // empty places has a cycle.
+    let token_free = net
+        .places()
+        .filter(|&(pid, _)| marking.tokens(pid) == 0)
+        .map(|(_, place)| (place.preset()[0].index(), place.postset()[0].index()));
+    match find_cycle(net.num_transitions(), token_free) {
+        None => Ok(()),
+        Some(cycle) => Err(PetriError::NotLive {
+            cycle: cycle.into_iter().map(TransitionId::from_index).collect(),
+        }),
+    }
+}
+
+/// Finds a directed cycle in the graph on vertices `0..n` with the given
+/// `(from, to)` edges, or `None` if the graph is acyclic.
+///
+/// This is the search behind [`check_live`] (fed the token-free places of
+/// a marked graph), shared with front ends that run the same test on
+/// their own representation of the net. The search is deterministic:
+/// roots are tried in vertex order and each vertex's out-edges in the
+/// order `edges` yields them, so equal edge sequences report equal
+/// cycles. The cycle is returned in edge order, starting at the vertex
+/// the search re-entered. O(n + |edges|); `edges` is iterated twice.
+pub fn find_cycle<I>(n: usize, edges: I) -> Option<Vec<usize>>
+where
+    I: Iterator<Item = (usize, usize)> + Clone,
+{
+    // CSR adjacency (one flat array and offsets): this runs on every
+    // compile, so per-node allocations would dominate it.
     let mut start = vec![0usize; n + 1];
-    for (pid, place) in net.places() {
-        if marking.tokens(pid) == 0 {
-            start[place.preset()[0].index() + 1] += 1;
-        }
+    for (from, _) in edges.clone() {
+        start[from + 1] += 1;
     }
     for v in 0..n {
         start[v + 1] += start[v];
     }
     let mut succ = vec![0usize; start[n]];
     let mut fill: Vec<usize> = start[..n].to_vec();
-    for (pid, place) in net.places() {
-        if marking.tokens(pid) == 0 {
-            let from = place.preset()[0].index();
-            succ[fill[from]] = place.postset()[0].index();
-            fill[from] += 1;
-        }
+    for (from, to) in edges {
+        succ[fill[from]] = to;
+        fill[from] += 1;
     }
     // Colours: 0 = white, 1 = on stack, 2 = done.
     let mut colour = vec![0u8; n];
@@ -96,15 +116,15 @@ pub fn check_live(net: &PetriNet, marking: &Marking) -> Result<(), PetriError> {
                         stack.push((w, 0));
                     }
                     1 => {
-                        // Found a token-free cycle w -> ... -> v -> w.
-                        let mut cycle = vec![TransitionId::from_index(v)];
+                        // Found a cycle w -> ... -> v -> w.
+                        let mut cycle = vec![v];
                         let mut cur = v;
                         while cur != w {
                             cur = parent_edge[cur];
-                            cycle.push(TransitionId::from_index(cur));
+                            cycle.push(cur);
                         }
                         cycle.reverse();
-                        return Err(PetriError::NotLive { cycle });
+                        return Some(cycle);
                     }
                     _ => {}
                 }
@@ -114,7 +134,7 @@ pub fn check_live(net: &PetriNet, marking: &Marking) -> Result<(), PetriError> {
             }
         }
     }
-    Ok(())
+    None
 }
 
 /// Checks safety of a **live** marking for the marked graph `net`
@@ -326,6 +346,21 @@ mod tests {
         assert!(!is_consistent_with(&net, &[0, 0, 0]));
         // Any uniform positive vector works for a connected marked graph.
         assert!(is_consistent_with(&net, &[4, 4, 4]));
+    }
+
+    #[test]
+    fn find_cycle_follows_edge_order() {
+        // Two cycles through vertex 0; the search takes 0's out-edges in
+        // the order given, so the order picks the reported cycle.
+        let edges = [(0, 1), (1, 0), (0, 2), (2, 3), (3, 0)];
+        assert_eq!(find_cycle(4, edges.iter().copied()), Some(vec![0, 1]));
+        let reordered = [(0, 2), (2, 3), (3, 0), (0, 1), (1, 0)];
+        assert_eq!(
+            find_cycle(4, reordered.iter().copied()),
+            Some(vec![0, 2, 3])
+        );
+        assert_eq!(find_cycle(4, [(1, 0), (0, 2)].into_iter()), None);
+        assert_eq!(find_cycle(0, std::iter::empty()), None);
     }
 
     #[test]

@@ -186,7 +186,7 @@ impl PetriNet {
     }
 
     /// Iterates over `(id, place)` pairs in arena order.
-    pub fn places(&self) -> impl Iterator<Item = (PlaceId, &Place)> {
+    pub fn places(&self) -> impl Iterator<Item = (PlaceId, &Place)> + Clone {
         self.places
             .iter()
             .enumerate()

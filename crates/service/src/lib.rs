@@ -800,7 +800,10 @@ fn worker_loop(inner: &Inner) {
         let id = job.request.id;
         let verb = job.request.verb;
         let admitted = job.admitted;
-        let outcome = catch_unwind(AssertUnwindSafe(|| execute(inner, &job)));
+        // One digest per request: the cache lookup, the panic eviction
+        // and the journal's source digest all use it.
+        let key = protocol::cache_key(&job.request.source, &job.request.options);
+        let outcome = catch_unwind(AssertUnwindSafe(|| execute(inner, &job, key)));
         let exec = match outcome {
             Ok(exec) => {
                 if exec.ok {
@@ -833,10 +836,7 @@ fn worker_loop(inner: &Inner) {
                     verb,
                     Verb::Cancel | Verb::Metrics | Verb::MetricsPrometheus | Verb::Journal
                 ) {
-                    inner.cache.remove(protocol::cache_key(
-                        &job.request.source,
-                        &job.request.options,
-                    ));
+                    inner.cache.remove(key);
                 }
                 Exec::failed(
                     error_envelope(
@@ -864,10 +864,7 @@ fn worker_loop(inner: &Inner) {
                 seq: 0,
                 id,
                 verb: verb.as_str().into(),
-                source_digest: format!(
-                    "{:016x}",
-                    protocol::cache_key(&job.request.source, &job.request.options)
-                ),
+                source_digest: format!("{key:016x}"),
                 cache: exec.tier.into(),
                 engine: exec.engine.clone(),
                 engine_reason: exec.engine_reason.clone(),
@@ -888,8 +885,9 @@ fn worker_loop(inner: &Inner) {
     }
 }
 
-/// Runs one request to a rendered response line plus its audit fields.
-fn execute(inner: &Inner, job: &Job) -> Exec {
+/// Runs one request to a rendered response line plus its audit fields;
+/// `key` is the request's [`protocol::cache_key`].
+fn execute(inner: &Inner, job: &Job, key: u64) -> Exec {
     let req = &job.request;
     let id = req.id;
     let verb = req.verb;
@@ -934,7 +932,6 @@ fn execute(inner: &Inner, job: &Job) -> Exec {
         return Exec::failed(line, "bad_request");
     }
 
-    let key = protocol::cache_key(&req.source, &req.options);
     let compile_start = Instant::now();
     let lookup = inner.cache.get(key);
     // Tier (and the seen-key set behind warm/miss) is tracked only when

@@ -1072,6 +1072,7 @@ impl JsonValue {
 /// A message with the byte offset of the first syntax error.
 pub fn parse_json(text: &str) -> Result<JsonValue, String> {
     let mut parser = Parser {
+        text,
         bytes: text.as_bytes(),
         pos: 0,
     };
@@ -1085,6 +1086,7 @@ pub fn parse_json(text: &str) -> Result<JsonValue, String> {
 }
 
 struct Parser<'a> {
+    text: &'a str,
     bytes: &'a [u8],
     pos: usize,
 }
@@ -1264,12 +1266,16 @@ impl Parser<'_> {
                     }
                 }
                 Some(_) => {
-                    // Consume one UTF-8 scalar from the source text.
-                    let rest = std::str::from_utf8(&self.bytes[self.pos..])
-                        .map_err(|_| "invalid UTF-8".to_string())?;
-                    let c = rest.chars().next().expect("peek saw a byte");
-                    out.push(c);
-                    self.pos += c.len_utf8();
+                    // Copy the run up to the next quote or backslash in
+                    // one step. Both stop bytes are ASCII, so the run
+                    // ends on a character boundary; a run that reaches
+                    // the end of the line is an unterminated string.
+                    let run = self.bytes[self.pos..]
+                        .iter()
+                        .position(|&b| b == b'"' || b == b'\\')
+                        .unwrap_or(self.bytes.len() - self.pos);
+                    out.push_str(&self.text[self.pos..self.pos + run]);
+                    self.pos += run;
                 }
             }
         }
@@ -1328,6 +1334,51 @@ mod tests {
     fn parser_handles_unicode_escapes() {
         let value = parse_json(r#"{"s":"é😀"}"#).unwrap();
         assert_eq!(value.get("s"), Some(&JsonValue::Str("é😀".into())));
+        // 2-, 3- and 4-byte sequences directly before and after each
+        // kind of escape, and at both ends of the string.
+        let text = r#"["é\nü","中\"文","𝄞\ud834\udd1e𝄞","\\é\t€\u00e9😀\/ß"]"#;
+        let expected = ["é\nü", "中\"文", "𝄞𝄞𝄞", "\\é\t€é😀/ß"];
+        let expected = expected.map(|s| JsonValue::Str(s.into())).to_vec();
+        assert_eq!(parse_json(text), Ok(JsonValue::Arr(expected)));
+    }
+
+    #[test]
+    fn parser_reads_non_ascii_keys() {
+        let value = parse_json(r#"{"clé":1,"键":"値","😀\n":true}"#).unwrap();
+        assert_eq!(value.get("clé"), Some(&JsonValue::Num(1.0)));
+        assert_eq!(value.get("键"), Some(&JsonValue::Str("値".into())));
+        assert_eq!(value.get("😀\n"), Some(&JsonValue::Bool(true)));
+    }
+
+    #[test]
+    fn line_ending_inside_a_multi_byte_run_is_unterminated() {
+        for line in [
+            r#"{"id":1,"verb":"analyze","source":"a€€"#,
+            r#"{"id":1,"verb":"analyze","source":"\n😀"#,
+            r#"{"é"#,
+        ] {
+            assert_eq!(
+                parse_json(line),
+                Err("unterminated string".to_string()),
+                "{line}"
+            );
+        }
+    }
+
+    #[test]
+    fn mebibyte_source_round_trips_through_parse_request() {
+        let unit = "do i from 2 to n { X[i] := Z[i] * (Y[i] - X[i-1]); } // é 中 😀 \"q\" \\ \t\n";
+        let mut source = String::new();
+        while source.len() < 1 << 20 {
+            source.push_str(unit);
+        }
+        let line = format!(
+            r#"{{"id":3,"verb":"analyze","source":{}}}"#,
+            serde_json::to_string(&source).unwrap()
+        );
+        let request = parse_request(&line).unwrap();
+        assert_eq!(request.id, 3);
+        assert!(request.source == source, "the source changed in transit");
     }
 
     #[test]
