@@ -605,18 +605,17 @@ impl CompiledLoop {
         options: CompileOptions,
         profiler: Option<Arc<metrics::Profiler>>,
     ) -> Self {
-        let translate = || {
-            let mut pn = to_petri(&sdsp);
-            if let Some(cycles) = options.node_time {
-                for &t in &pn.transition_of {
-                    pn.net.set_time(t, cycles);
-                }
-            }
-            pn
+        // The times go into the graph itself, so every analysis — of the
+        // net or of the graph (storage, balancing, schedules) — sees them.
+        let sdsp = match options.node_time {
+            Some(cycles) => sdsp
+                .with_node_times(|_, _| cycles)
+                .expect("positive node times keep a valid graph valid"),
+            None => sdsp,
         };
         let pn = match &profiler {
-            Some(p) => p.time("to_petri", translate),
-            None => translate(),
+            Some(p) => p.time("to_petri", || to_petri(&sdsp)),
+            None => to_petri(&sdsp),
         };
         CompiledLoop {
             sdsp,

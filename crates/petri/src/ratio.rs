@@ -27,15 +27,24 @@
 //!   which is the polynomial-time replacement the paper alludes to when it
 //!   cites the linear-programming formulation of the cycle-time problem.
 //!
+//! Once the cycle time `p/q` of a net is known, [`CycleTimeCheck`] decides
+//! whether an edit of the net (some places removed, one added) keeps it,
+//! from feasible potentials ([`longest_path_potentials`]) and one
+//! critical cycle of the current net, without solving again; the storage
+//! optimiser checks its candidate merges this way.
+//!
 //! The implicit self-loop of Assumption A.6.1 (a transition cannot overlap
 //! its own firings) contributes the candidate cycle time `τ(t)` for every
 //! transition; both entry points take it into account, so an acyclic net
 //! still has the well-defined cycle time `max τ`.
 
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
+
 use crate::cycles::{simple_cycles, Cycle};
 use crate::error::PetriError;
 use crate::ids::{PlaceId, TransitionId};
-use crate::marked::check_live;
+use crate::marked::{check_live, find_cycle};
 use crate::marking::Marking;
 use crate::net::PetriNet;
 use crate::rational::Ratio;
@@ -229,6 +238,334 @@ pub fn critical_ratio(net: &PetriNet, marking: &Marking) -> Result<CriticalRatio
         rate: cycle_ratio.recip(),
         witness: CriticalWitness::Cycle(witness),
     })
+}
+
+/// Feasible potentials for the scaled place weights of a marked graph:
+/// the longest-path fixpoint from an implicit super-source at 0 over
+/// `edges` `(from, to, w)` on vertices `0..n`.
+///
+/// With `w = q·τ_from − m·p` at a cycle time `p/q` that no cycle exceeds,
+/// there is no positive cycle, the relaxation settles within `n` passes,
+/// and the result `σ` satisfies `σ_to ≥ σ_from + w` on every edge: the
+/// offsets of the analytic periodic schedule (`tpn_sched::analytic`)
+/// and the dual half of the cycle-time certificate. On a net with a
+/// positive cycle the passes stop after `n + 1` rounds without a
+/// fixpoint.
+pub fn longest_path_potentials(n: usize, edges: &[(usize, usize, i128)]) -> Vec<i128> {
+    let mut pot = vec![0i128; n];
+    for _ in 0..=n {
+        let mut improved = false;
+        for &(from, to, w) in edges {
+            let cand = pot[from] + w;
+            if cand > pot[to] {
+                pot[to] = cand;
+                improved = true;
+            }
+        }
+        if !improved {
+            break;
+        }
+    }
+    pot
+}
+
+/// Decides, without solving again, whether an edited marked graph keeps
+/// the cycle time `target = p/q` of the graph it starts from.
+///
+/// The graph is a bare edge list: transition `times` and one
+/// `(from, to, tokens)` per place, as [`critical_ratio`] would see it. An
+/// edit removes some edges and adds at most one, `b → a`. With the place
+/// weight `w = q·τ_from − m·p`, a cycle is above `p/q` iff its weight is
+/// positive and at `p/q` iff it is zero (a token-free cycle has weight
+/// `q·Ω > 0`, so "not live" is "above"). The check keeps feasible
+/// potentials `pot` (`pot[to] ≥ pot[from] + w` on every edge) and the
+/// edges of one *tight* cycle (every edge at equality) of the current
+/// graph, and decides each edit exactly:
+///
+/// 1. **No cycle above `p/q`.** Removing edges keeps `pot` feasible. With
+///    `s = pot[b] + w(b → a) − pot[a] > 0`, Dijkstra from `a` over the
+///    reduced lengths `pot[v] − pot[u] − w ≥ 0`, cut off at `s`, finds
+///    whether `dist(a, b) < s`: a positive cycle through the new edge.
+/// 2. **Some cycle at `p/q`.** The implicit self-loop attains it
+///    (`max τ = p/q`), or `dist(a, b) = s`, or the cached tight cycle
+///    avoids the removed edges, or [`find_cycle`] finds a cycle among the
+///    remaining tight edges (plus the new edge when `s = 0`): under
+///    feasible potentials a zero-weight cycle is exactly a tight cycle.
+///
+/// [`accept`](Self::accept) then applies the last checked edit, raising
+/// `pot[v]` by `s − dist(a, v)` wherever Dijkstra reached `v` below `s`,
+/// which keeps `pot` feasible for the new graph. A check costs
+/// `O(|E| log |V|)` at worst and usually far less; an accepted edit adds a
+/// linear rebuild of the adjacency and the tight cycle.
+///
+/// # Example
+///
+/// ```
+/// use tpn_petri::ratio::CycleTimeCheck;
+/// use tpn_petri::Ratio;
+///
+/// // Ring 0 → 1 → 2 → 0 with one token: cycle time 3.
+/// let times = vec![1, 1, 1];
+/// let edges = vec![(0, 1, 0), (1, 2, 0), (2, 0, 1)];
+/// let mut check = CycleTimeCheck::new(times, edges, Ratio::from_integer(3));
+/// // A token-free chord 2 → 1 closes a token-free cycle: rejected.
+/// assert!(!check.keeps_target(&[], Some((2, 1, 0))));
+/// // A marked chord 2 → 1 closes a 2-cycle at ratio 2: the ring stays.
+/// assert!(check.keeps_target(&[], Some((2, 1, 1))));
+/// // Dropping a ring edge leaves no cycle at ratio 3.
+/// assert!(!check.keeps_target(&[0], None));
+/// ```
+#[derive(Clone, Debug)]
+pub struct CycleTimeCheck {
+    p: i128,
+    q: i128,
+    times: Vec<u64>,
+    /// `max τ = p/q`: the implicit self-loop attains the target whatever
+    /// the edges.
+    self_loop: bool,
+    edges: Vec<(usize, usize, u32)>,
+    pot: Vec<i128>,
+    /// CSR out-adjacency of edge indices.
+    start: Vec<usize>,
+    out: Vec<usize>,
+    /// Edge indices of one tight cycle (empty when only the self-loop
+    /// attains the target).
+    tight_cycle: Vec<usize>,
+    /// Dijkstra state of the last check: tentative distances from `a`
+    /// (`i128::MAX` = unreached) and the vertices they were set on.
+    dist: Vec<i128>,
+    reached: Vec<usize>,
+    heap: BinaryHeap<Reverse<(i128, usize)>>,
+    pending: Option<Edit>,
+}
+
+/// The last edit that [`CycleTimeCheck::keeps_target`] accepted.
+#[derive(Clone, Debug)]
+struct Edit {
+    removed: Vec<usize>,
+    added: Option<(usize, usize, u32)>,
+    /// `s` of the added edge; `dist` holds Dijkstra's distances when
+    /// `s > 0`.
+    slack: i128,
+}
+
+impl CycleTimeCheck {
+    /// Starts from the graph `times` / `edges` (`(from, to, tokens)` per
+    /// place) whose cycle time, with the implicit self-loops, is exactly
+    /// `target` — as computed by [`critical_ratio`].
+    ///
+    /// # Panics
+    ///
+    /// In debug builds, if `target` is not the graph's cycle time.
+    pub fn new(times: Vec<u64>, edges: Vec<(usize, usize, u32)>, target: Ratio) -> Self {
+        let (p, q) = (target.numer() as i128, target.denom() as i128);
+        let n = times.len();
+        let self_loop = times.iter().any(|&t| t as i128 * q == p);
+        let mut check = CycleTimeCheck {
+            p,
+            q,
+            times,
+            self_loop,
+            edges,
+            pot: Vec::new(),
+            start: Vec::new(),
+            out: Vec::new(),
+            tight_cycle: Vec::new(),
+            dist: vec![i128::MAX; n],
+            reached: Vec::new(),
+            heap: BinaryHeap::new(),
+            pending: None,
+        };
+        let weighted: Vec<(usize, usize, i128)> = check
+            .edges
+            .iter()
+            .map(|&e| (e.0, e.1, check.weight(e)))
+            .collect();
+        check.pot = longest_path_potentials(n, &weighted);
+        debug_assert!(
+            check.edges.iter().all(|&e| check.reduced(e) >= 0),
+            "a cycle exceeds the target"
+        );
+        check.rebuild();
+        check
+    }
+
+    /// The current graph's edges.
+    pub fn edges(&self) -> &[(usize, usize, u32)] {
+        &self.edges
+    }
+
+    /// Whether the current graph with the edges at indices `removed`
+    /// deleted and `added` appended has cycle time exactly `target`.
+    /// Remembers the edit for [`accept`](Self::accept) when it does.
+    pub fn keeps_target(&mut self, removed: &[usize], added: Option<(usize, usize, u32)>) -> bool {
+        self.pending = None;
+        for &v in &self.reached {
+            self.dist[v] = i128::MAX;
+        }
+        self.reached.clear();
+        let slack = added.map_or(0, |e| self.pot[e.0] + self.weight(e) - self.pot[e.1]);
+        let mut closes_tight = false;
+        if let Some((b, a, _)) = added.filter(|_| slack > 0) {
+            match self.distance_below(a, b, slack, removed) {
+                Some(d) if d < slack => return false,
+                Some(_) => closes_tight = true,
+                None => {}
+            }
+        }
+        let keeps = self.self_loop
+            || closes_tight
+            || (!self.tight_cycle.is_empty()
+                && removed.iter().all(|e| !self.tight_cycle.contains(e)))
+            || self.has_tight_cycle(removed, added.filter(|_| slack == 0));
+        if keeps {
+            self.pending = Some(Edit {
+                removed: removed.to_vec(),
+                added,
+                slack,
+            });
+        }
+        keeps
+    }
+
+    /// Replaces the current graph by the one of the last edit that
+    /// [`keeps_target`](Self::keeps_target) accepted: the remaining edges
+    /// in their order, then the added one.
+    ///
+    /// # Panics
+    ///
+    /// If the last check rejected its edit (or there was none).
+    pub fn accept(&mut self) {
+        let edit = self
+            .pending
+            .take()
+            .expect("accept follows an accepting check");
+        if edit.slack > 0 {
+            for &v in &self.reached {
+                if self.dist[v] < edit.slack {
+                    self.pot[v] += edit.slack - self.dist[v];
+                }
+            }
+        }
+        let mut index = 0;
+        self.edges.retain(|_| {
+            index += 1;
+            !edit.removed.contains(&(index - 1))
+        });
+        self.edges.extend(edit.added);
+        debug_assert!(self.edges.iter().all(|&e| self.reduced(e) >= 0));
+        self.rebuild();
+    }
+
+    /// `q·τ_from − m·p`.
+    fn weight(&self, (from, _, tokens): (usize, usize, u32)) -> i128 {
+        self.q * self.times[from] as i128 - i128::from(tokens) * self.p
+    }
+
+    /// `pot[to] − pot[from] − w`: non-negative on feasible edges, zero on
+    /// tight ones.
+    fn reduced(&self, e: (usize, usize, u32)) -> i128 {
+        self.pot[e.1] - self.pot[e.0] - self.weight(e)
+    }
+
+    /// Rebuilds the adjacency and the cached tight cycle.
+    fn rebuild(&mut self) {
+        let n = self.times.len();
+        self.start = vec![0; n + 1];
+        for &(from, _, _) in &self.edges {
+            self.start[from + 1] += 1;
+        }
+        for v in 0..n {
+            self.start[v + 1] += self.start[v];
+        }
+        self.out = vec![0; self.edges.len()];
+        let mut fill = self.start[..n].to_vec();
+        for (i, &(from, _, _)) in self.edges.iter().enumerate() {
+            self.out[fill[from]] = i;
+            fill[from] += 1;
+        }
+        self.tight_cycle.clear();
+        if self.self_loop {
+            return;
+        }
+        let tight = self
+            .edges
+            .iter()
+            .filter(|&&e| self.reduced(e) == 0)
+            .map(|&(from, to, _)| (from, to));
+        let cycle = find_cycle(n, tight);
+        debug_assert!(cycle.is_some(), "a graph at its target has a tight cycle");
+        let cycle = cycle.unwrap_or_default();
+        for (k, &u) in cycle.iter().enumerate() {
+            let v = cycle[(k + 1) % cycle.len()];
+            let e = self.out[self.start[u]..self.start[u + 1]]
+                .iter()
+                .copied()
+                .find(|&e| self.edges[e].1 == v && self.reduced(self.edges[e]) == 0)
+                .expect("find_cycle follows tight edges");
+            self.tight_cycle.push(e);
+        }
+    }
+
+    /// Dijkstra from `a` over the reduced lengths of the edges not in
+    /// `removed`, settling vertices up to distance `cutoff`. Returns
+    /// `dist(a, b)` if it is at most `cutoff`, returning early once it is
+    /// known to be below it.
+    fn distance_below(
+        &mut self,
+        a: usize,
+        b: usize,
+        cutoff: i128,
+        removed: &[usize],
+    ) -> Option<i128> {
+        self.heap.clear();
+        self.dist[a] = 0;
+        self.reached.push(a);
+        self.heap.push(Reverse((0, a)));
+        while let Some(Reverse((d, u))) = self.heap.pop() {
+            if d > self.dist[u] {
+                continue;
+            }
+            if u == b {
+                return Some(d);
+            }
+            for &e in &self.out[self.start[u]..self.start[u + 1]] {
+                if removed.contains(&e) {
+                    continue;
+                }
+                let edge = self.edges[e];
+                let nd = d + self.reduced(edge);
+                let v = edge.1;
+                if nd > cutoff || nd >= self.dist[v] {
+                    continue;
+                }
+                if self.dist[v] == i128::MAX {
+                    self.reached.push(v);
+                }
+                self.dist[v] = nd;
+                if v == b && nd < cutoff {
+                    // A path already below the cut-off: a positive cycle.
+                    return Some(nd);
+                }
+                self.heap.push(Reverse((nd, v)));
+            }
+        }
+        None
+    }
+
+    /// Whether the tight edges not in `removed`, plus `extra`, contain a
+    /// cycle.
+    fn has_tight_cycle(&self, removed: &[usize], extra: Option<(usize, usize, u32)>) -> bool {
+        let tight = self
+            .edges
+            .iter()
+            .enumerate()
+            .filter(|&(i, &e)| !removed.contains(&i) && self.reduced(e) == 0)
+            .map(|(_, &e)| e)
+            .chain(extra)
+            .map(|(from, to, _)| (from, to));
+        find_cycle(self.times.len(), tight).is_some()
+    }
 }
 
 /// The full scheduling witness behind an `explain` request: the solver's
@@ -1233,5 +1570,94 @@ mod tests {
         let (net, m) = ring(&times, &tokens);
         let r = critical_ratio(&net, &m).unwrap();
         assert_eq!(r.cycle_time, Ratio::new(51, 50));
+    }
+
+    /// The net of a bare edge list `(from, to, tokens)` on transitions
+    /// with the given times.
+    fn edge_net(times: &[u64], edges: &[(usize, usize, u32)]) -> (PetriNet, Marking) {
+        let mut net = PetriNet::new();
+        let ts: Vec<_> = times
+            .iter()
+            .enumerate()
+            .map(|(i, &tau)| net.add_transition(format!("t{i}"), tau))
+            .collect();
+        let mut pairs = Vec::new();
+        for (k, &(from, to, tokens)) in edges.iter().enumerate() {
+            let p = net.add_place(format!("p{k}"));
+            net.connect_tp(ts[from], p);
+            net.connect_pt(p, ts[to]);
+            pairs.push((p, tokens));
+        }
+        let m = Marking::from_pairs(&net, pairs);
+        (net, m)
+    }
+
+    #[test]
+    fn cycle_time_check_agrees_with_critical_ratio_over_edit_chains() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        let (mut checked, mut kept, mut not_live) = (0, 0, 0);
+        for seed in 0..300u64 {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let n = rng.random_range(2..8usize);
+            let times: Vec<u64> = (0..n).map(|_| rng.random_range(1..5u64)).collect();
+            // A marked ring keeps the start live; chords add cycles.
+            let mut edges: Vec<(usize, usize, u32)> = (0..n)
+                .map(|i| (i, (i + 1) % n, u32::from(i == 0)))
+                .collect();
+            for _ in 0..rng.random_range(0..2 * n) {
+                let (u, v) = (rng.random_range(0..n), rng.random_range(0..n));
+                edges.push((u, v, rng.random_range(u32::from(u == v)..3)));
+            }
+            let (net, m) = edge_net(&times, &edges);
+            let Ok(start) = critical_ratio(&net, &m) else {
+                continue;
+            };
+            let target = start.cycle_time;
+            let mut check = CycleTimeCheck::new(times.clone(), edges.clone(), target);
+            for _ in 0..24 {
+                let mut removed: Vec<usize> = (0..rng.random_range(0..3usize))
+                    .filter(|_| !edges.is_empty())
+                    .map(|_| rng.random_range(0..edges.len()))
+                    .collect();
+                removed.dedup();
+                let added = rng.random_bool(0.7).then(|| {
+                    let (u, v) = (rng.random_range(0..n), rng.random_range(0..n));
+                    (u, v, rng.random_range(u32::from(u == v)..3))
+                });
+                let mut edited: Vec<_> = edges
+                    .iter()
+                    .enumerate()
+                    .filter(|(i, _)| !removed.contains(i))
+                    .map(|(_, &e)| e)
+                    .collect();
+                edited.extend(added);
+                let (net, m) = edge_net(&times, &edited);
+                let expected = match critical_ratio(&net, &m) {
+                    Ok(r) => r.cycle_time == target,
+                    Err(PetriError::NotLive { .. }) => {
+                        not_live += 1;
+                        false
+                    }
+                    Err(other) => panic!("seed {seed}: {other}"),
+                };
+                let verdict = check.keeps_target(&removed, added);
+                assert_eq!(
+                    verdict, expected,
+                    "seed {seed}: {edges:?} -{removed:?} +{added:?}"
+                );
+                checked += 1;
+                if verdict {
+                    kept += 1;
+                    check.accept();
+                    edges = edited;
+                    assert_eq!(check.edges(), edges.as_slice());
+                }
+            }
+        }
+        assert!(
+            kept > 100 && checked - kept > 100 && not_live > 50,
+            "{checked} {kept} {not_live}"
+        );
     }
 }

@@ -35,7 +35,7 @@
 
 use tpn_dataflow::to_petri::SdspPn;
 use tpn_dataflow::{NodeId, Sdsp};
-use tpn_petri::ratio::{component_cycle_times, critical_ratio};
+use tpn_petri::ratio::{component_cycle_times, critical_ratio, longest_path_potentials};
 use tpn_petri::rational::Ratio;
 use tpn_petri::timed::marking_digest;
 use tpn_petri::trace::{EventKind, FiringEvent};
@@ -103,23 +103,9 @@ impl AnalyticSchedule {
 
         check_uniform_components(pn, cr.cycle_time, &edges, n)?;
 
-        // Longest-path fixpoint from the implicit super-source d ≡ 0.
         // α* being the maximum cycle ratio guarantees no positive cycle,
-        // so the relaxation converges within n passes.
-        let mut offsets = vec![0i128; n];
-        for _ in 0..=n {
-            let mut improved = false;
-            for &(from, to, w) in &edges {
-                let cand = offsets[from] + w;
-                if cand > offsets[to] {
-                    offsets[to] = cand;
-                    improved = true;
-                }
-            }
-            if !improved {
-                break;
-            }
-        }
+        // so the longest-path relaxation converges within n passes.
+        let offsets = longest_path_potentials(n, &edges);
 
         let mut schedule = AnalyticSchedule {
             period: p,

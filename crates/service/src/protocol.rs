@@ -434,7 +434,10 @@ fn parse_options(obj: &[(String, JsonValue)]) -> Result<CompileOptions, String> 
     let mut options = CompileOptions::new();
     for (key, value) in obj {
         match key.as_str() {
-            "node_time" => options = options.node_time(expect_u64(key, value)?),
+            "node_time" => match expect_u64(key, value)? {
+                0 => return Err("\"node_time\" must be a positive integer".into()),
+                cycles => options = options.node_time(cycles),
+            },
             "step_budget" => options = options.step_budget(expect_u64(key, value)?),
             "trace_capacity" => {
                 options = options.trace_capacity(expect_u64(key, value)? as usize);

@@ -278,3 +278,37 @@ proptest! {
         prop_assert!(protocol::parse_json(&uncached.line).is_ok());
     }
 }
+
+/// `node_time` reaches every analysis: the storage optimiser keeps the
+/// rate that `analyze` reports for the retimed loop, and a zero time is
+/// a typed parse error rather than a panic.
+#[test]
+fn node_time_reaches_storage_and_zero_is_rejected() {
+    let service = Service::start(ServiceConfig::builder().workers(1).build().unwrap());
+    let l2 = "do i from 1 to n { A[i] := X[i] + 5; B[i] := Y[i] + A[i]; \
+              C[i] := A[i] + E[i-1]; D[i] := B[i] + C[i]; E[i] := W[i] + D[i]; }";
+    let line = |verb: &str, time: u64| {
+        format!(r#"{{"id":1,"verb":"{verb}","source":"{l2}","options":{{"node_time":{time}}}}}"#)
+    };
+    let payload = |verb: &str, key: &str| {
+        let request = protocol::parse_request(&line(verb, 3)).expect("valid request");
+        let response = service.call(request).expect("not overloaded");
+        assert!(response.ok, "{}", response.line);
+        let value = protocol::parse_json(&response.line).unwrap();
+        match value.get("payload").and_then(|p| p.get(key)) {
+            Some(protocol::JsonValue::Str(s)) => s.clone(),
+            other => panic!("{verb}: {key} is {other:?}"),
+        }
+    };
+    let optimal = payload("analyze", "optimal_rate");
+    assert_eq!(optimal, "1/9");
+    assert_eq!(payload("storage", "rate_after"), optimal);
+    assert_eq!(payload("rate", "optimal"), optimal);
+
+    let err = protocol::parse_request(&line("storage", 0)).unwrap_err();
+    assert!(
+        err.to_string()
+            .contains("\"node_time\" must be a positive integer"),
+        "{err}"
+    );
+}

@@ -14,15 +14,19 @@
 //!
 //! [`minimize_storage`] implements that optimisation as a greedy chain
 //! coalescer with **exact verification**: every candidate merge is
-//! accepted only if the resulting SDSP-PN's critical cycle time (computed
-//! by [`tpn_petri::ratio::critical_ratio`]) is unchanged. On the paper's
-//! loop L2 it reproduces Figure 4 exactly: the acknowledgements of `A→B`
-//! and `B→D` merge into one `D→A` arc, saving 1/6 of the storage at an
-//! unchanged rate of 1/3.
+//! accepted only if the resulting SDSP-PN's critical cycle time is
+//! unchanged. The loop is translated and solved with
+//! [`tpn_petri::ratio::critical_ratio`] once; each candidate is then
+//! decided against the current net's potentials and one of its critical
+//! cycles by [`tpn_petri::ratio::CycleTimeCheck`], which changes one ack
+//! edge at a time instead of rebuilding and re-solving the net. On the
+//! paper's loop L2 it reproduces Figure 4 exactly: the acknowledgements
+//! of `A→B` and `B→D` merge into one `D→A` arc, saving 1/6 of the
+//! storage at an unchanged rate of 1/3.
 
 use tpn_dataflow::to_petri::to_petri;
 use tpn_dataflow::{AckArc, DataflowError, NodeId, Sdsp};
-use tpn_petri::ratio::{analyze_cycles, critical_ratio};
+use tpn_petri::ratio::{analyze_cycles, critical_ratio, CycleTimeCheck};
 use tpn_petri::rational::Ratio;
 use tpn_petri::PetriError;
 
@@ -214,64 +218,40 @@ pub fn minimize_storage_steps(
     sdsp: &Sdsp,
     max_merges: usize,
 ) -> Result<(Sdsp, StorageReport), StorageError> {
+    minimize_visiting(sdsp, max_merges, |_, _, _, _| {})
+}
+
+/// The greedy behind [`minimize_storage_steps`], calling
+/// `visit(current, i, j, accepted)` on every candidate merge of
+/// acknowledgements `i` and `j` that passes the token filter.
+fn minimize_visiting(
+    sdsp: &Sdsp,
+    max_merges: usize,
+    mut visit: impl FnMut(&Sdsp, usize, usize, bool),
+) -> Result<(Sdsp, StorageReport), StorageError> {
     let before = sdsp.storage_locations();
     let base_pn = to_petri(sdsp);
     let target = critical_ratio(&base_pn.net, &base_pn.marking)?.cycle_time;
 
+    let times = sdsp.nodes().map(|(_, node)| node.time).collect();
+    let (edges, mut ack_edge) = petri_edges(sdsp);
+    let mut check = CycleTimeCheck::new(times, edges, target);
     let mut current = sdsp.clone();
     let mut merges = 0usize;
     while merges < max_merges {
-        let mut merged = false;
-        let acks: Vec<AckArc> = current.acks().map(|(_, a)| a.clone()).collect();
-        'pairs: for i in 0..acks.len() {
-            for j in 0..acks.len() {
-                if i == j {
-                    continue;
-                }
-                // Chain i ends where chain j begins.
-                if acks[i].from != acks[j].to {
-                    continue;
-                }
-                let mut covers = acks[i].covers.clone();
-                covers.extend_from_slice(&acks[j].covers);
-                let tokens: u32 = covers
-                    .iter()
-                    .map(|&a| current.arc(a).initial_tokens())
-                    .sum();
-                if tokens > 1 {
-                    continue; // two live values cannot share one location
-                }
-                let candidate_ack = AckArc {
-                    from: acks[j].from,
-                    to: acks[i].to,
-                    covers,
-                    capacity: acks[i].capacity.min(acks[j].capacity),
-                };
-                let mut new_acks: Vec<AckArc> = acks
-                    .iter()
-                    .enumerate()
-                    .filter(|&(k, _)| k != i && k != j)
-                    .map(|(_, a)| a.clone())
-                    .collect();
-                new_acks.push(candidate_ack);
-                let Ok(candidate) = current.with_acks(new_acks) else {
-                    continue;
-                };
-                let pn = to_petri(&candidate);
-                let Ok(ratio) = critical_ratio(&pn.net, &pn.marking) else {
-                    continue;
-                };
-                if ratio.cycle_time == target {
-                    current = candidate;
-                    merged = true;
-                    merges += 1;
-                    break 'pairs;
-                }
-            }
-        }
-        if !merged {
+        let Some(merged) = next_merge(&current, &ack_edge, &mut check, &mut visit) else {
             break;
-        }
+        };
+        check.accept();
+        current = merged;
+        let (edges, merged_ack_edge) = petri_edges(&current);
+        debug_assert_eq!(
+            check.edges(),
+            edges.as_slice(),
+            "the check tracks the places"
+        );
+        ack_edge = merged_ack_edge;
+        merges += 1;
     }
 
     let groups = current
@@ -290,6 +270,102 @@ pub fn minimize_storage_steps(
         cycle_time: target,
     };
     Ok((current, report))
+}
+
+/// The first acceptable merge in pair order: chain `i` ends where chain
+/// `j` begins, the two chains hold at most one live value, and the
+/// merged net keeps the cycle time `check` was built for.
+fn next_merge(
+    current: &Sdsp,
+    ack_edge: &[Option<usize>],
+    check: &mut CycleTimeCheck,
+    visit: &mut impl FnMut(&Sdsp, usize, usize, bool),
+) -> Option<Sdsp> {
+    let acks: Vec<&AckArc> = current.acks().map(|(_, a)| a).collect();
+    for i in 0..acks.len() {
+        for j in 0..acks.len() {
+            if i == j || acks[i].from != acks[j].to {
+                continue;
+            }
+            let tokens: u32 = acks[i]
+                .covers
+                .iter()
+                .chain(&acks[j].covers)
+                .map(|&a| current.arc(a).initial_tokens())
+                .sum();
+            if tokens > 1 {
+                continue; // two live values cannot share one location
+            }
+            let (from, to) = (acks[j].from, acks[i].to);
+            let capacity = acks[i].capacity.min(acks[j].capacity);
+            // A self-acknowledgement gets no place (see `to_petri`).
+            let added = (from != to).then(|| (from.index(), to.index(), capacity - tokens));
+            let removed: Vec<usize> = [ack_edge[i], ack_edge[j]].into_iter().flatten().collect();
+            let accepted = check.keeps_target(&removed, added);
+            visit(current, i, j, accepted);
+            if !accepted {
+                continue;
+            }
+            if let Ok(candidate) = current.with_acks(merge_acks(current, i, j)) {
+                return Some(candidate);
+            }
+        }
+    }
+    None
+}
+
+/// The acknowledgements of `sdsp` with `i` and `j` replaced by one ack
+/// covering chain `i` then chain `j`, appended last.
+fn merge_acks(sdsp: &Sdsp, i: usize, j: usize) -> Vec<AckArc> {
+    let acks: Vec<&AckArc> = sdsp.acks().map(|(_, a)| a).collect();
+    let mut covers = acks[i].covers.clone();
+    covers.extend_from_slice(&acks[j].covers);
+    let merged = AckArc {
+        from: acks[j].from,
+        to: acks[i].to,
+        covers,
+        capacity: acks[i].capacity.min(acks[j].capacity),
+    };
+    acks.iter()
+        .enumerate()
+        .filter(|&(k, _)| k != i && k != j)
+        .map(|(_, a)| (*a).clone())
+        .chain([merged])
+        .collect()
+}
+
+/// A place of the SDSP-PN as `(from, to, tokens)`.
+type Edge = (usize, usize, u32);
+
+/// The SDSP-PN of `sdsp` as the edge list `(from, to, tokens)` that
+/// [`to_petri`] builds places for — data arcs, then acknowledgements
+/// other than self-acknowledgements — and the edge of each
+/// acknowledgement.
+fn petri_edges(sdsp: &Sdsp) -> (Vec<Edge>, Vec<Option<usize>>) {
+    let mut edges: Vec<Edge> = sdsp
+        .arcs()
+        .map(|(_, arc)| (arc.from.index(), arc.to.index(), arc.initial_tokens()))
+        .collect();
+    let ack_edge = sdsp
+        .acks()
+        .map(|(_, ack)| {
+            if ack.from == ack.to {
+                return None;
+            }
+            let chain_tokens: u32 = ack
+                .covers
+                .iter()
+                .map(|&a| sdsp.arc(a).initial_tokens())
+                .sum();
+            edges.push((
+                ack.from.index(),
+                ack.to.index(),
+                ack.capacity - chain_tokens,
+            ));
+            Some(edges.len() - 1)
+        })
+        .collect();
+    (edges, ack_edge)
 }
 
 /// The outcome of [`balance`].
@@ -640,5 +716,315 @@ mod tests {
         assert!(outcome.semantics_preserved());
         // And the rate is still optimal.
         assert_eq!(schedule.rate(), Ratio::new(1, 3));
+    }
+}
+
+/// The greedy against the per-candidate loop it replaced: every
+/// candidate rebuilt with `with_acks`, translated with `to_petri` and
+/// re-solved with `critical_ratio`. That loop is the oracle; the
+/// inputs span the Livermore kernels, the fuzz generator's five shapes,
+/// synthetic loops and seeded loop sources.
+#[cfg(test)]
+mod reference {
+    use super::*;
+    use tpn_dataflow::{OpKind, Operand, SdspBuilder};
+
+    fn reference_minimize(
+        sdsp: &Sdsp,
+        max_merges: usize,
+    ) -> Result<(Sdsp, StorageReport), StorageError> {
+        let before = sdsp.storage_locations();
+        let base_pn = to_petri(sdsp);
+        let target = critical_ratio(&base_pn.net, &base_pn.marking)?.cycle_time;
+
+        let mut current = sdsp.clone();
+        let mut merges = 0usize;
+        while merges < max_merges {
+            let mut merged = false;
+            let acks: Vec<AckArc> = current.acks().map(|(_, a)| a.clone()).collect();
+            'pairs: for i in 0..acks.len() {
+                for j in 0..acks.len() {
+                    if i == j || acks[i].from != acks[j].to {
+                        continue;
+                    }
+                    let mut covers = acks[i].covers.clone();
+                    covers.extend_from_slice(&acks[j].covers);
+                    let tokens: u32 = covers
+                        .iter()
+                        .map(|&a| current.arc(a).initial_tokens())
+                        .sum();
+                    if tokens > 1 {
+                        continue;
+                    }
+                    let candidate_ack = AckArc {
+                        from: acks[j].from,
+                        to: acks[i].to,
+                        covers,
+                        capacity: acks[i].capacity.min(acks[j].capacity),
+                    };
+                    let mut new_acks: Vec<AckArc> = acks
+                        .iter()
+                        .enumerate()
+                        .filter(|&(k, _)| k != i && k != j)
+                        .map(|(_, a)| a.clone())
+                        .collect();
+                    new_acks.push(candidate_ack);
+                    let Ok(candidate) = current.with_acks(new_acks) else {
+                        continue;
+                    };
+                    let pn = to_petri(&candidate);
+                    let Ok(ratio) = critical_ratio(&pn.net, &pn.marking) else {
+                        continue;
+                    };
+                    if ratio.cycle_time == target {
+                        current = candidate;
+                        merged = true;
+                        merges += 1;
+                        break 'pairs;
+                    }
+                }
+            }
+            if !merged {
+                break;
+            }
+        }
+        let groups = current
+            .acks()
+            .filter(|(_, a)| a.covers.len() > 1)
+            .map(|(_, a)| CoalescedGroup {
+                to: a.to,
+                from: a.from,
+                arcs: a.covers.len(),
+            })
+            .collect();
+        let report = StorageReport {
+            before,
+            after: current.storage_locations(),
+            groups,
+            cycle_time: target,
+        };
+        Ok((current, report))
+    }
+
+    /// What the visited candidates covered.
+    #[derive(Debug, Default)]
+    struct Tally {
+        candidates: usize,
+        accepted: usize,
+        merges: usize,
+        not_live: usize,
+        self_acks: usize,
+        self_loop_targets: usize,
+    }
+
+    impl std::ops::AddAssign for Tally {
+        fn add_assign(&mut self, other: Tally) {
+            self.candidates += other.candidates;
+            self.accepted += other.accepted;
+            self.merges += other.merges;
+            self.not_live += other.not_live;
+            self.self_acks += other.self_acks;
+            self.self_loop_targets += other.self_loop_targets;
+        }
+    }
+
+    /// Asserts that both greedies agree at the fixpoint and for 1–4
+    /// merges (`Debug`-identical graphs, equal reports or errors), and
+    /// that the check's verdict on every candidate the fixpoint run
+    /// visits equals the re-solved cycle time's.
+    fn check(sdsp: &Sdsp, label: &str) -> Tally {
+        assert_eq!(
+            format!("{:?}", minimize_storage(sdsp)),
+            format!("{:?}", reference_minimize(sdsp, usize::MAX)),
+            "{label}"
+        );
+        for steps in 1..=4 {
+            assert_eq!(
+                format!("{:?}", minimize_storage_steps(sdsp, steps)),
+                format!("{:?}", reference_minimize(sdsp, steps)),
+                "{label}, {steps} merges"
+            );
+        }
+        let mut tally = Tally::default();
+        let Ok(ratio) = critical_ratio(&to_petri(sdsp).net, &to_petri(sdsp).marking) else {
+            return tally;
+        };
+        let target = ratio.cycle_time;
+        if sdsp
+            .nodes()
+            .any(|(_, n)| Ratio::from_integer(n.time) == target)
+        {
+            tally.self_loop_targets += 1;
+        }
+        let result = minimize_visiting(sdsp, usize::MAX, |current, i, j, accepted| {
+            let candidate = current
+                .with_acks(merge_acks(current, i, j))
+                .expect("merged chains are valid allocations");
+            let pn = to_petri(&candidate);
+            let expected = match critical_ratio(&pn.net, &pn.marking) {
+                Ok(r) => r.cycle_time == target,
+                Err(PetriError::NotLive { .. }) => {
+                    tally.not_live += 1;
+                    false
+                }
+                Err(other) => panic!("{label}: {other}"),
+            };
+            assert_eq!(accepted, expected, "{label}: merging acks {i} and {j}");
+            let acks: Vec<&AckArc> = current.acks().map(|(_, a)| a).collect();
+            if acks[j].from == acks[i].to {
+                tally.self_acks += 1;
+            }
+            tally.candidates += 1;
+            tally.accepted += usize::from(accepted);
+        });
+        tally.merges = result.map_or(0, |(_, report)| report.saved());
+        tally
+    }
+
+    fn l2() -> Sdsp {
+        tpn_lang::compile(
+            "do i from 1 to n { A[i] := X[i] + 5; B[i] := Y[i] + A[i]; \
+             C[i] := A[i] + E[i-1]; D[i] := B[i] + C[i]; E[i] := W[i] + D[i]; }",
+        )
+        .unwrap()
+    }
+
+    /// A seeded loop in the loop language: each statement reads the
+    /// environment, earlier statements of the same iteration and — when
+    /// `max_distance > 0` — nearby statements up to `max_distance`
+    /// iterations back.
+    fn loop_source(seed: u64, statements: usize, max_distance: u32) -> String {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut out = if max_distance == 0 {
+            String::from("doall i from 1 to n {")
+        } else {
+            format!("do i from {} to n {{", max_distance + 1)
+        };
+        for j in 0..statements {
+            let mut expr = format!("X{}[i]", j % 3);
+            for _ in 0..rng.random_range(1..4usize) {
+                let operand = if max_distance == 0 || (j > 0 && rng.random_bool(0.6)) {
+                    if j == 0 {
+                        continue;
+                    }
+                    format!("T{}[i]", j - 1 - rng.random_range(0..j.min(4)))
+                } else {
+                    let m = rng.random_range(j.saturating_sub(3)..(j + 3).min(statements));
+                    format!("T{m}[i-{}]", rng.random_range(1..max_distance + 1))
+                };
+                expr = format!("{expr} + {operand}");
+            }
+            out.push_str(&format!(" T{j}[i] := {expr};"));
+        }
+        out.push_str(" }");
+        out
+    }
+
+    #[test]
+    fn l2_and_livermore_kernels_match_the_reference() {
+        let mut tally = check(&l2(), "L2");
+        for kernel in tpn_livermore::kernels() {
+            tally += check(&kernel.sdsp(), kernel.name);
+        }
+        assert!(tally.merges > 0, "{tally:?}");
+    }
+
+    #[test]
+    fn fuzz_shapes_match_the_reference() {
+        use tpn_conform::gen::{generate, Shape};
+        for shape in Shape::ALL {
+            let mut tally = Tally::default();
+            for case in 0..40 {
+                let label = format!("{} case {case}", shape.as_str());
+                tally += check(&generate(11, case, shape), &label);
+            }
+            assert!(tally.candidates > 0, "{}: {tally:?}", shape.as_str());
+        }
+    }
+
+    #[test]
+    fn synthetic_loops_match_the_reference() {
+        use tpn_livermore::synth::{chain, generate, recurrence_ring, wide, SynthConfig};
+        let mut tally = Tally::default();
+        for n in [1, 2, 7, 24] {
+            tally += check(&chain(n), &format!("chain/{n}"));
+            tally += check(&wide(n), &format!("wide/{n}"));
+            tally += check(&recurrence_ring(n), &format!("ring/{n}"));
+        }
+        for seed in 0..30 {
+            for distance in 1..=3 {
+                let nodes = 3 + seed as usize % 12;
+                let config = SynthConfig {
+                    nodes,
+                    forward_density: 0.7,
+                    recurrences: 1 + seed as usize % 3,
+                    distance,
+                    seed,
+                };
+                let label = format!("synth seed {seed} distance {distance}");
+                tally += check(&generate(&config), &label);
+            }
+        }
+        assert!(tally.merges > 0, "{tally:?}");
+    }
+
+    #[test]
+    fn seeded_loop_sources_match_the_reference() {
+        let mut tally = Tally::default();
+        for seed in 0..48 {
+            let statements = 2 + seed as usize % 11;
+            for max_distance in 0..=4 {
+                let source = loop_source(seed, statements, max_distance);
+                let sdsp = tpn_lang::compile(&source).expect("generated loops compile");
+                tally += check(&sdsp, &source);
+            }
+        }
+        assert!(tally.merges > 0 && tally.not_live > 0, "{tally:?}");
+    }
+
+    #[test]
+    fn verdicts_cover_every_kind_of_candidate() {
+        let mut tally = Tally::default();
+        // A node slower than every cycle — here one that reads no other
+        // node — makes the target the self-loop bound `max τ`.
+        let mut b = SdspBuilder::new();
+        let a = b.node("A", OpKind::Neg, [Operand::env("X", 0)]);
+        let c = b.node("C", OpKind::Neg, [Operand::node(a)]);
+        let d = b.node("D", OpKind::Neg, [Operand::node(c)]);
+        let _e = b.node("E", OpKind::Add, [Operand::node(d), Operand::node(a)]);
+        let slow = b.node("S", OpKind::Neg, [Operand::env("Y", 0)]);
+        b.set_time(slow, 9);
+        let beside_slow = check(&b.finish().unwrap(), "chain beside a slow node");
+        assert!(beside_slow.self_loop_targets == 1 && beside_slow.merges > 0);
+        tally += beside_slow;
+        // Balanced loops: acknowledgements with several free slots.
+        for sdsp in [l2(), tpn_livermore::kernels()[3].sdsp()] {
+            tally += check(&balance(&sdsp).unwrap().0, "balanced");
+        }
+        // X := old Y + A; Y := X * 2: merging the two acks of the 2-cycle
+        // gives a self-acknowledgement.
+        let mut b = SdspBuilder::new();
+        let x = b.node("X", OpKind::Add, [Operand::lit(0.0), Operand::env("A", 0)]);
+        let y = b.node("Y", OpKind::Mul, [Operand::node(x), Operand::lit(2.0)]);
+        b.set_operand(x, 0, Operand::feedback(y, 1));
+        tally += check(&b.finish().unwrap(), "two-node recurrence");
+        // Multi-critical and near-tie generator shapes, and DO loops whose
+        // merges close token-free cycles.
+        for case in 0..24 {
+            use tpn_conform::gen::{generate, Shape};
+            tally += check(&generate(5, case, Shape::MultiCritical), "multi-critical");
+            tally += check(&generate(5, case, Shape::NearTie), "near-tie");
+            let source = loop_source(100 + case, 3 + case as usize % 6, 1 + case as u32 % 2);
+            tally += check(&tpn_lang::compile(&source).unwrap(), &source);
+        }
+        assert!(tally.self_loop_targets > 0, "{tally:?}");
+        assert!(tally.self_acks > 0, "{tally:?}");
+        assert!(tally.not_live > 0, "{tally:?}");
+        assert!(
+            tally.accepted > 0 && tally.accepted < tally.candidates,
+            "{tally:?}"
+        );
     }
 }
